@@ -57,6 +57,7 @@ type t = {
   versions : int array;  (* per-edge write stamp (committed writes only) *)
   fabric : int list;  (* switch-to-switch edge ids *)
   is_fabric : bool array;
+  pinned : bool array;  (* single-homed host access links; read-only *)
   inv_cap : float array;  (* 1/capacity for fabric edges, else 0 *)
   fabric_n : int;
   mutable util_sum : float;  (* running sum of fabric used/capacity *)
@@ -107,6 +108,26 @@ let compute_fabric topo =
       if host.(e.src) || host.(e.dst) then acc else e.id :: acc)
   |> List.rev
 
+(* A host whose only out-link and only in-link both join it to the same
+   switch can be crossed by no simple path except one that starts or
+   ends at it, so those two links lie on every candidate path of every
+   flow crossing them. Structure only: link state never changes it. *)
+let compute_pinned topo =
+  let g = topo.Topology.graph in
+  let pinned = Array.make (Graph.edge_count g) false in
+  let host = Array.make (Graph.node_count g) false in
+  Array.iter (fun h -> host.(h) <- true) topo.Topology.hosts;
+  Array.iter
+    (fun h ->
+      match (Graph.out_edges g h, Graph.in_edges g h) with
+      | [ (o : Graph.edge) ], [ (i : Graph.edge) ]
+        when o.dst = i.src && not host.(o.dst) ->
+          pinned.(o.id) <- true;
+          pinned.(i.id) <- true
+      | _ -> ())
+    topo.Topology.hosts;
+  pinned
+
 let journal_cap0 = 256
 
 let create topo =
@@ -139,6 +160,7 @@ let create topo =
     versions = Array.make n_edges 0;
     fabric;
     is_fabric;
+    pinned = compute_pinned topo;
     inv_cap;
     fabric_n = List.length fabric;
     util_sum = 0.0;
@@ -206,6 +228,7 @@ let copy_into ?(memo_ro = false) t =
     versions = Array.copy t.versions;
     fabric = t.fabric;
     is_fabric = t.is_fabric;
+    pinned = t.pinned;
     inv_cap = t.inv_cap;
     fabric_n = t.fabric_n;
     util_sum = t.util_sum;
@@ -837,6 +860,7 @@ let redo_apply t rd =
   done
 
 let fabric_edges t = t.fabric
+let edge_pinned t e = t.pinned.(e)
 
 let mean_fabric_utilization t =
   (* Maintained incrementally in occupy/release: O(1), where the fold
@@ -1105,24 +1129,84 @@ let reroute ?(admit_disabled = false) t id new_path =
             Ok placed.path
           end)
 
+(* Every edge's flow column as an open-addressing hash set, packed into
+   one flat table: edge [e] owns the slots [off.(e), off.(e + 1)), a
+   power of two at least twice its column length, so linear probing
+   stays short. [distinct.(e)] counts the column's distinct ids. *)
+type column_sets = {
+  off : int array;
+  slot : int array;
+  full : Bytes.t;
+  distinct : int array;
+}
+
+let[@inline] slot_hash fid mask = ((fid * 0x1E3779B97F4A7C15) lsr 24) land mask
+
+let column_sets t =
+  let n = Array.length t.oe_len in
+  let off = Array.make (n + 1) 0 in
+  for e = 0 to n - 1 do
+    let cap = ref 1 in
+    while !cap < 2 * t.oe_len.(e) do
+      cap := 2 * !cap
+    done;
+    off.(e + 1) <- off.(e) + !cap
+  done;
+  let slot = Array.make off.(n) 0 and full = Bytes.make off.(n) '\000' in
+  let distinct = Array.make n 0 in
+  for e = 0 to n - 1 do
+    let base = off.(e) and mask = off.(e + 1) - off.(e) - 1 in
+    let data = t.oe_data.(e) in
+    for i = 0 to t.oe_len.(e) - 1 do
+      let fid = data.(i) in
+      let rec insert h =
+        let k = base + h in
+        if Bytes.get full k = '\000' then begin
+          Bytes.set full k '\001';
+          slot.(k) <- fid;
+          distinct.(e) <- distinct.(e) + 1
+        end
+        else if slot.(k) <> fid then insert ((h + 1) land mask)
+      in
+      insert (slot_hash fid mask)
+    done
+  done;
+  { off; slot; full; distinct }
+
+let column_mem cs e fid =
+  let base = cs.off.(e) and mask = cs.off.(e + 1) - cs.off.(e) - 1 in
+  let rec go h =
+    let k = base + h in
+    Bytes.get cs.full k <> '\000'
+    && (cs.slot.(k) = fid || go ((h + 1) land mask))
+  in
+  go (slot_hash fid mask)
+
 let invariants_ok t =
   let g = graph t in
+  let n_edges = Graph.edge_count g in
   let expected =
-    Array.init (Graph.edge_count g) (fun id ->
-        Graph.capacity g id -. t.degraded.(id))
+    Array.init n_edges (fun id -> Graph.capacity g id -. t.degraded.(id))
   in
+  (* Hashing every edge's column once makes each (flow, path-edge)
+     membership test O(1), and [crossing] counts the flows whose path
+     crosses each edge: the sweep is linear in placements. *)
+  let cs = column_sets t in
+  let crossing = Array.make n_edges 0 in
   let err = ref None in
   Hashtbl.iter
     (fun id placed ->
       if placed.record.Flow_record.id <> id && !err = None then
         err := Some (Printf.sprintf "flow %d stored under wrong key" id);
       let demand = Flow_record.demand_mbps placed.record in
-      List.iter
-        (fun (e : Graph.edge) ->
-          expected.(e.id) <- expected.(e.id) -. demand;
-          if oe_index t e.id id < 0 && !err = None then
-            err := Some (Printf.sprintf "flow %d missing from edge %d" id e.id))
-        (Path.edges placed.path))
+      let ids = Path.hop_ids placed.path in
+      for i = 0 to Array.length ids - 1 do
+        let e = Array.unsafe_get ids i in
+        expected.(e) <- expected.(e) -. demand;
+        crossing.(e) <- crossing.(e) + 1;
+        if !err = None && not (column_mem cs e id) then
+          err := Some (Printf.sprintf "flow %d missing from edge %d" id e)
+      done)
     t.flows;
   Array.iteri
     (fun id expect ->
@@ -1136,23 +1220,30 @@ let invariants_ok t =
           err := Some (Printf.sprintf "edge %d oversubscribed" id)
       end)
     expected;
-  (* Every on-edge entry must refer to a placed flow crossing that edge. *)
+  (* Every on-edge entry must refer to a placed flow crossing that edge.
+     With no flow missing, each edge's column already holds every flow
+     crossing it, so that holds exactly when the column has no more
+     distinct ids than [crossing] counted. Only an edge failing the
+     count has its entries resolved, to name the offending one. *)
   Array.iteri
-    (fun edge_id data ->
-      for i = 0 to t.oe_len.(edge_id) - 1 do
-        let fid = data.(i) in
-        if !err = None then
-          match Hashtbl.find_opt t.flows fid with
-          | None ->
-              err := Some (Printf.sprintf "edge %d lists ghost flow %d" edge_id fid)
-          | Some placed ->
-              if not (Path.mentions_edge placed.path edge_id) then
+    (fun edge_id distinct ->
+      if !err = None && distinct > crossing.(edge_id) then
+        let data = t.oe_data.(edge_id) in
+        for i = 0 to t.oe_len.(edge_id) - 1 do
+          let fid = data.(i) in
+          if !err = None then
+            match Hashtbl.find_opt t.flows fid with
+            | None ->
                 err :=
-                  Some
-                    (Printf.sprintf "edge %d lists flow %d not crossing it"
-                       edge_id fid)
-      done)
-    t.oe_data;
+                  Some (Printf.sprintf "edge %d lists ghost flow %d" edge_id fid)
+            | Some placed ->
+                if not (Path.mentions_edge placed.path edge_id) then
+                  err :=
+                    Some
+                      (Printf.sprintf "edge %d lists flow %d not crossing it"
+                         edge_id fid)
+        done)
+    cs.distinct;
   (* The incremental fabric-utilisation sum must track a fresh fold. *)
   (if !err = None && t.fabric_n > 0 then begin
      let folded =

@@ -224,6 +224,16 @@ val fabric_edges : t -> int list
     of the utilisation probe (see DESIGN.md §3). Computed once per state
     family and cached. *)
 
+val edge_pinned : t -> int -> bool
+(** True for the two access links of a single-homed host: a host whose
+    only out-link and only in-link join it to one switch. Every flow
+    crossing such a link starts or ends at that host, so every one of
+    its candidate paths crosses the link too; no migration can take
+    traffic off it. Computed once from graph structure by {!create} and
+    shared read-only by copies and snapshots; link failures and
+    degradation do not change it. Records nothing in an open probe's
+    read set. *)
+
 val mean_fabric_utilization : t -> float
 (** Mean utilisation over {!fabric_edges}, maintained incrementally by
     {!place}/{!remove}/{!reroute} (Kahan-compensated running sum), so

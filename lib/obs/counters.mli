@@ -25,7 +25,11 @@ type key =
   | Cost_estimates  (** Plan-and-revert probes ({!Nu_update.Planner.cost_of}). *)
   | Migration_moves  (** Make-room flow relocations committed. *)
   | Clear_attempts  (** {!Nu_update.Migration.clear_path} invocations. *)
-  | Path_enumerations  (** Candidate-path set constructions. *)
+  | Path_enumerations
+      (** Candidate-path set lookups ({!Nu_net.Net_state.candidate_paths}
+          calls). Most are hits in the per-topology memo; the count
+          measures how often planning asks for a candidate set, not how
+          often one is built. *)
   | State_copies  (** {!Nu_net.Net_state.copy} calls. *)
   | Engine_rounds  (** Service rounds executed (both abstractions). *)
   | Events_executed  (** Events completed by event-level rounds. *)

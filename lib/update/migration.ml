@@ -269,6 +269,14 @@ let clear_path ?(order = Best_fit_first) ?policy ?rng ?forbidden
     | [] -> Ok (List.rev !applied)
     | (e : Graph.edge) :: rest ->
         if Net_state.capacity_gap net e ~demand <= 0.0 then clear_links rest
+        else if Net_state.edge_pinned net e.id then begin
+          (* Every flow on a pinned link has only candidates crossing
+             it, and it lies on [path]: none is eligible, so the pool
+             scan below would end [`Stuck] having touched no new edge,
+             drawn nothing from [rng] and counted no work. *)
+          rollback ();
+          Error (Cannot_free e)
+        end
         else begin
           let pool, n = fill_pool order net e.id ~exclude ~moved in
           let rec free_gap () =

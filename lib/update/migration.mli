@@ -63,4 +63,18 @@ val clear_path :
     back to exactly its entry value. [work_units], when given, is
     incremented once per feasibility probe — the planner's virtual
     plan-time meter. [policy]/[rng] choose relocation targets (default
-    first-fit). *)
+    first-fit).
+
+    Links pinned by {!Net_state.edge_pinned} (a single-homed host's
+    access links) are refused up front: when [path] crosses one whose
+    gap is still positive once the clear reaches it, the moves already
+    applied are rolled back and [Error (Cannot_free e)] is returned
+    without scanning that link's flows. This is exact, not a heuristic:
+    every flow on a pinned link starts or ends at its host, so each of
+    its candidate paths crosses the link, which lies on [path] — no
+    candidate satisfies constraint (5), and the scan it replaces could
+    only end stuck. That scan would read no edge outside the probe read
+    set [path]'s congestion check already recorded, draw nothing from
+    [rng] and count no [work_units], so results, read sets and work
+    meters are unchanged; only {!Nu_obs.Counters.Path_enumerations}
+    no longer counts the skipped candidate lookups. *)

@@ -243,6 +243,180 @@ let test_clear_path_rollback_on_failure () =
     | Error _ -> check_same_residuals "rollback" before (residual_snapshot net)
   end
 
+(* Host 0's access link carries three 300 Mbps flows, so a 200 Mbps
+   path out of host 0 is congested on its first hop, a link no
+   migration can free. The clear must give up on that link without
+   asking for any flow's candidate set, yet read, count and roll back
+   exactly as a full scan of the link's flows would. *)
+let test_clear_path_refuses_pinned_link () =
+  let net = Net_state.create (topo4 ()) in
+  List.iteri
+    (fun i dst -> ignore (place_exn net (flow ~id:(10 + i) ~demand:300.0 0 dst)))
+    [ 1; 2; 3 ];
+  let path = List.hd (Net_state.candidate_paths net (flow ~id:99 0 15)) in
+  let access = (Path.hop_ids path).(0) in
+  Alcotest.(check bool) "access link pinned" true
+    (Net_state.edge_pinned net access);
+  Alcotest.(check int) "flows on the link" 3 (Net_state.edge_flow_count net access);
+  let before = residual_snapshot net in
+  let units = ref 0 in
+  let c0 = Obs.Counters.snapshot () in
+  Net_state.start_probe net;
+  let result =
+    Migration.clear_path ~work_units:units net ~demand:200.0 ~path
+      ~exclude:(fun _ -> false)
+  in
+  let read = Net_state.stop_probe net in
+  let d = Obs.Counters.diff ~before:c0 ~after:(Obs.Counters.snapshot ()) in
+  (match result with
+  | Error (Migration.Cannot_free e) ->
+      Alcotest.(check int) "blocked on the access link" access e.Graph.id
+  | Ok _ -> Alcotest.fail "no flow can leave a single-homed access link");
+  Alcotest.(check int) "no candidate-set lookups" 0
+    (Obs.Counters.value d Obs.Counters.Path_enumerations);
+  let path_edges = Array.copy (Path.hop_ids path) in
+  Array.sort compare path_edges;
+  Alcotest.(check (array int)) "read set = the path's edges" path_edges read;
+  Alcotest.(check int) "no work units" 0 !units;
+  check_same_residuals "state untouched" before (residual_snapshot net);
+  match Net_state.invariants_ok net with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* A hand-built fabric: host h is dual-homed to switches s1 and s2;
+   hosts a and b hang off s1 and s2 alone. *)
+let dual_homed_topo () =
+  let g = Graph.create () in
+  Graph.add_nodes g 5;
+  let s1 = 0 and s2 = 1 and h = 2 and a = 3 and b = 4 in
+  List.iter
+    (fun (x, y) -> ignore (Graph.add_link g ~a:x ~b:y ~capacity:1000.0))
+    [ (s1, s2); (h, s1); (h, s2); (a, s1); (b, s2) ];
+  {
+    Topology.name = "dual-homed";
+    graph = g;
+    hosts = [| h; a; b |];
+    switches = [| s1; s2 |];
+    candidate_paths =
+      (fun ~src ~dst -> List.map fst (Yen.k_shortest g ~k:4 ~src ~dst ()));
+    diameter = 3;
+  }
+
+let test_clear_path_dual_homed_not_pinned () =
+  let topo = dual_homed_topo () in
+  let g = topo.Topology.graph in
+  let net = Net_state.create topo in
+  let link x y =
+    match Graph.find_edge g ~src:x ~dst:y with
+    | Some e -> e
+    | None -> Alcotest.fail "missing link"
+  in
+  List.iter
+    (fun (x, y, want) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d->%d pinned" x y)
+        want
+        (Net_state.edge_pinned net (link x y).Graph.id))
+    [
+      (2, 0, false); (0, 2, false); (2, 1, false); (1, 2, false);
+      (3, 0, true); (0, 3, true); (4, 1, true); (1, 4, true);
+      (0, 1, false); (1, 0, false);
+    ];
+  (* Flow h->b rides h->s1->s2->b; a 400 Mbps h->a path needs h->s1. *)
+  let blocker = flow ~id:1 ~demand:900.0 0 2 in
+  let via_s1 = Path.make g [ link 2 0; link 0 1; link 1 4 ] in
+  (match Net_state.place net blocker via_s1 with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "blocker placement");
+  let desired = Path.make g [ link 2 0; link 0 3 ] in
+  match
+    Migration.clear_path net ~demand:400.0 ~path:desired
+      ~exclude:(fun _ -> false)
+  with
+  | Error _ -> Alcotest.fail "the blocker can leave through s2"
+  | Ok moves ->
+      Alcotest.(check int) "one move" 1 (List.length moves);
+      let m = List.hd moves in
+      Alcotest.(check bool) "moved onto h->s2->b" true
+        (Path.equal m.Migration.to_path (Path.make g [ link 2 1; link 1 4 ]));
+      Alcotest.(check bool) "path now feasible" true
+        (Net_state.path_feasible net desired ~demand:400.0)
+
+(* The lemma the pinned-link refusal rests on, checked on live states:
+   after a background fill, churn and one link failure, no flow on a
+   pinned link with a positive gap has a candidate path edge-disjoint
+   from a desired path through that link. *)
+let pinned_lemma_holds topo seed =
+  let rng = Prng.create seed in
+  let net = Net_state.create topo in
+  let g = Net_state.graph net in
+  let hosts = topo.Topology.hosts in
+  let host_count = Array.length hosts in
+  let fill first_id =
+    ignore
+      (Background.fill net ~policy:Routing.Random_fit ~rng ~target:0.4
+         ~utilization:Net_state.mean_fabric_utilization
+         ~make_flow:(fun ~id ~scale ->
+           Background.yahoo_flow_maker rng ~host_count ~id ~scale)
+         ~first_id)
+  in
+  fill 0;
+  let placed = ref [] in
+  Net_state.iter_flows net (fun p ->
+      placed := p.Net_state.record.Flow_record.id :: !placed);
+  List.iter
+    (fun id -> if Prng.int rng 3 = 0 then ignore (Net_state.remove net id))
+    (List.sort compare !placed);
+  fill 1_000_000;
+  Net_state.disable_edge net (Prng.int rng (Graph.edge_count g));
+  let index_of node =
+    let rec go i = if hosts.(i) = node then i else go (i + 1) in
+    go 0
+  in
+  let disjoint a b =
+    let b_ids = Path.hop_ids b in
+    Array.for_all
+      (fun id -> not (Array.exists (fun x -> x = id) b_ids))
+      (Path.hop_ids a)
+  in
+  let checked = ref 0 in
+  let holds = ref true in
+  Graph.iter_edges g (fun (e : Graph.edge) ->
+      if
+        Net_state.edge_pinned net e.Graph.id
+        && Net_state.edge_flow_count net e.Graph.id > 0
+      then begin
+        let out_link = Topology.is_host topo e.Graph.src in
+        let h = index_of (if out_link then e.Graph.src else e.Graph.dst) in
+        let other = (h + 1 + Prng.int rng (host_count - 1)) mod host_count in
+        let src, dst = if out_link then (h, other) else (other, h) in
+        match Net_state.candidate_paths net (flow ~id:(-1) src dst) with
+        | [] -> ()
+        | cands ->
+            let desired = List.nth cands (Prng.int rng (List.length cands)) in
+            let demand =
+              Net_state.residual net e.Graph.id +. 1.0 +. Prng.float rng 100.0
+            in
+            if
+              Path.mentions_edge desired e.Graph.id
+              && Net_state.capacity_gap net e ~demand > 0.0
+            then begin
+              incr checked;
+              List.iter
+                (fun (p : Net_state.placed) ->
+                  List.iter
+                    (fun c -> if disjoint c desired then holds := false)
+                    (Net_state.candidate_paths net p.Net_state.record))
+                (Net_state.flows_on_edge net e.Graph.id)
+            end
+      end);
+  !holds && !checked > 0
+
+let prop_pinned_lemma name topo =
+  QCheck.Test.make
+    ~name:("no flow leaves a congested pinned link: " ^ name)
+    ~count:8 QCheck.small_int (fun seed -> pinned_lemma_holds (topo ()) seed)
+
 let test_migration_orders_names () =
   Alcotest.(check int) "four orders" 4 (List.length Migration.all_orders);
   List.iter
@@ -449,6 +623,8 @@ let suite =
     ("clear_path exclude", `Quick, test_clear_path_exclude_blocks);
     ("clear_path noop", `Quick, test_clear_path_noop_when_free);
     ("clear_path rollback", `Quick, test_clear_path_rollback_on_failure);
+    ("clear_path refuses pinned link", `Quick, test_clear_path_refuses_pinned_link);
+    ("clear_path dual-homed host", `Quick, test_clear_path_dual_homed_not_pinned);
     ("migration orders", `Quick, test_migration_orders_names);
     ("plan installs", `Quick, test_plan_installs_event);
     ("plan revert roundtrip", `Quick, test_plan_revert_roundtrip);
@@ -462,4 +638,14 @@ let suite =
     ("plan frozen", `Quick, test_plan_frozen_respected);
     ("plan work units monotone", `Quick, test_plan_work_units_monotone);
     QCheck_alcotest.to_alcotest prop_plan_revert_preserves_invariants;
+    QCheck_alcotest.to_alcotest (prop_pinned_lemma "fat-tree" topo4);
+    QCheck_alcotest.to_alcotest
+      (prop_pinned_lemma "leaf-spine" (fun () ->
+           Leaf_spine.to_topology
+             (Leaf_spine.create ~leaves:4 ~spines:2 ~hosts_per_leaf:4 ())));
+    QCheck_alcotest.to_alcotest
+      (prop_pinned_lemma "jellyfish" (fun () ->
+           Jellyfish.to_topology
+             (Jellyfish.create ~switches:10 ~ports_per_switch:6
+                ~inter_switch_ports:3 ~seed:5 ())));
   ]
