@@ -50,48 +50,6 @@ let usage =
    NAME]... [--domains N]"
 
 (* ------------------------------------------------------------------ *)
-(* Stable digest of a run_result.                                      *)
-
-let fnv_prime = 0x100000001b3L
-let fnv_basis = 0xcbf29ce484222325L
-
-let fnv64 h x =
-  let h = Int64.logxor h x in
-  Int64.mul h fnv_prime
-
-let fnv_float h f = fnv64 h (Int64.bits_of_float f)
-let fnv_int h i = fnv64 h (Int64.of_int i)
-
-let digest_of_run (r : Core.Engine.run_result) =
-  let h = ref fnv_basis in
-  Array.iter
-    (fun (e : Core.Engine.event_result) ->
-      h := fnv_int !h e.Core.Engine.event_id;
-      h := fnv_float !h e.Core.Engine.arrival_s;
-      h := fnv_float !h e.Core.Engine.start_s;
-      h := fnv_float !h e.Core.Engine.completion_s;
-      h := fnv_float !h e.Core.Engine.cost_mbit;
-      h := fnv_int !h e.Core.Engine.plan_work_units;
-      h := fnv_int !h e.Core.Engine.failed_items;
-      h := fnv_int !h (if e.Core.Engine.co_scheduled then 1 else 0))
-    r.Core.Engine.events;
-  h := fnv_int !h r.Core.Engine.rounds;
-  h := fnv_int !h r.Core.Engine.total_plan_units;
-  h := fnv_float !h r.Core.Engine.total_cost_mbit;
-  h := fnv_float !h r.Core.Engine.makespan_s;
-  (* fabric_utilization is deliberately left out: it is telemetry whose
-     low-order bits depend on summation order (the incremental Kahan sum
-     vs a fresh fold), not a scheduling decision. The digest covers the
-     decisions — ECTs, costs, rounds, batches, work units. *)
-  List.iter
-    (fun (ri : Core.Engine.round_info) ->
-      h := fnv_float !h ri.Core.Engine.round_start_s;
-      List.iter (fun id -> h := fnv_int !h id) ri.Core.Engine.executed;
-      h := fnv_int !h ri.Core.Engine.round_units)
-    r.Core.Engine.rounds_log;
-  Printf.sprintf "%016Lx" !h
-
-(* ------------------------------------------------------------------ *)
 (* One measured scenario.                                              *)
 
 type measurement = {
@@ -444,7 +402,9 @@ let measure ~name ~policy ~n_events ?(faults = `Off) ?(obs = false)
        else 0.0);
     m_total_cost_mbit = run.Core.Engine.total_cost_mbit;
     m_digest =
-      (match !fabric_digest with Some d -> d | None -> digest_of_run run);
+      (match !fabric_digest with
+      | Some d -> d
+      | None -> Core.Run_digest.of_run run);
     m_recovery_digest =
       Option.map
         (fun inj -> Core.Recovery.digest (Core.Injector.recovery inj))

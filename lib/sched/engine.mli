@@ -226,8 +226,10 @@ module Stepper : sig
 
   val step : t -> [ `Stepped | `Idle ]
   (** Execute one service round (including any leading idle-time jump
-      to the next arrival or retry instant). [`Idle] means no queued,
-      pending or held work remained — nothing happened. *)
+      to the next arrival or retry instant): a {!step_group} wave of
+      this stepper alone, so the engine has a single round
+      implementation. [`Idle] means no queued, pending or held work
+      remained — nothing happened. *)
 
   type escalation = {
     esc_shard : int;  (** Index into the caller's stepper array. *)
@@ -250,19 +252,26 @@ module Stepper : sig
     t array ->
     [ `Stepped of int * escalation list | `Idle ]
   (** Advance every stepper that has work by one synchronised wave.
-      The steppers must share one network and be fault-free (raises
-      [Invalid_argument] otherwise). Phase A runs {!step}'s pre-round
-      bookkeeping per stepper in array order — empty-queue time jump,
-      background churn sync, candidate selection with PRNG draws on the
-      calling domain — then evaluates every cache-missing candidate
-      probe across all steppers in one batch against the quiescent
-      wave-start state, fanned out through [pool] when given (decisions
-      are bit-identical with or without it). Phase B commits winners
+      The steppers must share one network (raises [Invalid_argument]
+      otherwise). Phase A runs each stepper's round preamble in array
+      order — empty-queue time jump, due faults, background churn sync,
+      series sample, candidate selection with PRNG draws on the calling
+      domain — then evaluates every cache-missing candidate probe
+      across all steppers in one batch against the quiescent wave-start
+      state, fanned out through [pool] when given (decisions are
+      bit-identical with or without it). Phase B commits winners
       sequentially in array order: a winner whose touched edges are
       unchanged since the wave start replays its probe plan; one
       invalidated by an earlier commit of the same wave re-plans live,
-      deterministically. With one stepper a wave is bit-identical to
-      {!step}.
+      deterministically.
+
+      A wave of one stepper is {!step}: its round span encloses the
+      probes, a FIFO head is planned once rather than probed and
+      replayed, and without [pool] a stepper created with
+      [domains > 1] fans out on its own worker domains. Fault mode (an
+      injector with faults still pending) is single-stepper only: a
+      wave of several steppers, or one given [escalate], raises
+      [Invalid_argument] if any of its steppers is in fault mode.
 
       [escalate] (default: never) inspects each winner's plan before it
       commits; returning [true] withdraws the round — the event leaves

@@ -1,6 +1,7 @@
 module Json = Nu_obs.Json
 module Counters = Nu_obs.Counters
 module Histogram = Nu_obs.Histogram
+module Fnv = Nu_obs.Fnv
 module Store_fault = Nu_fault.Store_fault
 
 type config = {
@@ -119,42 +120,35 @@ let event_to_json = function
   | Gave_up { restarts } ->
       Json.Obj [ ("event", Json.String "gave_up"); ("restarts", Json.Int restarts) ]
 
-(* Same FNV-1a shape as [Nu_fault.Recovery.digest]: the recovery log
-   digest is a deterministic fingerprint of the whole supervision
-   history, so two crash-storm runs agree on more than the final
+(* FNV-1a over the supervision history, in the shape of
+   [Nu_fault.Recovery.digest]: a deterministic fingerprint of every
+   restart, so two crash-storm runs agree on more than the final
    decision digest. *)
-let fnv_prime = 0x100000001b3L
-let fnv_basis = 0xcbf29ce484222325L
-let fnv64 h x = Int64.mul (Int64.logxor h x) fnv_prime
-let fnv_int h i = fnv64 h (Int64.of_int i)
-let fnv_float h f = fnv64 h (Int64.bits_of_float f)
-let fnv_string h s = String.fold_left (fun h c -> fnv_int h (Char.code c)) h s
-
 let log_digest events =
   let h =
     List.fold_left
       (fun h e ->
         match e with
         | Started { attempt; from_tick; fallback_depth; replayed } ->
-            fnv_int
-              (fnv_int (fnv_int (fnv_int (fnv_int h 1) attempt) from_tick)
+            Fnv.int
+              (Fnv.int (Fnv.int (Fnv.int (Fnv.int h 1) attempt) from_tick)
                  fallback_depth)
               replayed
         | Failed { attempt; at_tick; cls; reason } ->
-            fnv_string
-              (fnv_int (fnv_int (fnv_int (fnv_int h 2) attempt) at_tick)
+            Fnv.string
+              (Fnv.int (Fnv.int (Fnv.int (Fnv.int h 2) attempt) at_tick)
                  (class_tag cls))
               reason
         | Backoff { attempt; delay_s } ->
-            fnv_float (fnv_int (fnv_int h 3) attempt) delay_s
+            Fnv.float (Fnv.int (Fnv.int h 3) attempt) delay_s
         | Cold_start { attempt; reason } ->
-            fnv_string (fnv_int (fnv_int h 4) attempt) reason
+            Fnv.string (Fnv.int (Fnv.int h 4) attempt) reason
         | Completed { ticks; restarts } ->
-            fnv_int (fnv_int (fnv_int h 5) ticks) restarts
-        | Gave_up { restarts } -> fnv_int (fnv_int h 6) restarts)
-      fnv_basis events
+            Fnv.int (Fnv.int (Fnv.int h 5) ticks) restarts
+        | Gave_up { restarts } -> Fnv.int (Fnv.int h 6) restarts)
+      Fnv.basis events
   in
-  Printf.sprintf "%016Lx" h
+  Fnv.hex h
 
 type outcome = {
   digest : string option;

@@ -21,6 +21,7 @@
 
 module Json = Nu_obs.Json
 module Counters = Nu_obs.Counters
+module Fnv = Nu_obs.Fnv
 
 type config = {
   veto_backlog : int;
@@ -71,14 +72,6 @@ type t = {
   mutable digest_h : int64;
 }
 
-let fnv_prime = 0x100000001b3L
-let fnv_basis = 0xcbf29ce484222325L
-
-let fnv_byte h c = Int64.mul (Int64.logxor h (Int64.of_int c)) fnv_prime
-
-let fnv_string h s =
-  String.fold_left (fun h ch -> fnv_byte h (Char.code ch)) h s
-
 let create ?sink ?(exec = Exec_model.default)
     ?(plan_config = Planner.default_config) ~seed cfg =
   validate_config cfg;
@@ -93,7 +86,7 @@ let create ?sink ?(exec = Exec_model.default)
     units = 0;
     results = [];
     entries = 0;
-    digest_h = fnv_basis;
+    digest_h = Fnv.basis;
   }
 
 let set_sink t sink = t.sink <- sink
@@ -107,7 +100,7 @@ let close t =
    digests identically to a journaled one. *)
 let record t j =
   let line = Json.to_string j in
-  t.digest_h <- fnv_byte (fnv_string t.digest_h line) 0x0a;
+  t.digest_h <- Fnv.int (Fnv.string t.digest_h line) 0x0a;
   t.entries <- t.entries + 1;
   match t.sink with
   | Some oc ->
@@ -116,7 +109,7 @@ let record t j =
       flush oc
   | None -> ()
 
-let digest t = Printf.sprintf "%016Lx" t.digest_h
+let digest t = Fnv.hex t.digest_h
 let entries t = t.entries
 let pending_count t = List.length t.queue
 let results t = List.rev t.results

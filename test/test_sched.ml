@@ -513,6 +513,119 @@ let test_cache_degrade_restore_exact_invalidation () =
   Alcotest.(check bool) "A hits after re-store" true
     (Estimate_cache.find cache net 0 <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Golden decision digests: pinned [Run_digest.of_run] values for every
+   event-level policy, fault-free and under a seeded fault schedule that
+   aborts rounds, plus one fanned-out run. Any refactor of the service
+   loop must leave each of them bit-identical; a changed value means a
+   scheduling decision moved. *)
+
+let golden_faults () =
+  Fault_model.generate
+    ~config:
+      {
+        Fault_model.default_config with
+        Fault_model.rate_per_s = 4.0;
+        horizon_s = 1.0;
+        repair_s = 0.3;
+      }
+    ~seed:2 (topo4 ())
+
+(* (name, policy, domains, run digest, recovery-log digest of the
+   faulted run — [None] runs fault-free) *)
+let golden_cases =
+  [
+    ("fifo", Policy.Fifo, 1, "3418eeb74bd2f78b", None);
+    ("fifo faults", Policy.Fifo, 1, "ba3dc8b1ca172600", Some "b328464db1919c07");
+    ("lmtf", Policy.Lmtf { alpha = 4 }, 1, "f4ddf04ad8b537da", None);
+    ( "lmtf faults",
+      Policy.Lmtf { alpha = 4 },
+      1,
+      "7486fc06c2fd991c",
+      Some "7da368f425501d03" );
+    ("plmtf", Policy.Plmtf { alpha = 4 }, 1, "0946e7135c01a462", None);
+    ( "plmtf faults",
+      Policy.Plmtf { alpha = 4 },
+      1,
+      "7ef965b312695301",
+      Some "27d4159847904041" );
+    ("reorder", Policy.Reorder, 1, "4cf3f015543c9a6a", None);
+    ( "reorder faults",
+      Policy.Reorder,
+      1,
+      "f28ad2f07ae40135",
+      Some "b373d7aff02738a2" );
+    ( "reorder faults domains 2",
+      Policy.Reorder,
+      2,
+      "f28ad2f07ae40135",
+      Some "b373d7aff02738a2" );
+  ]
+
+let test_golden_digests () =
+  List.iter
+    (fun (name, policy, domains, digest, recovery) ->
+      let events =
+        workload ~n:10 ~m:4 ~arrival:(fun i -> float_of_int i *. 0.02) ()
+      in
+      let injector =
+        Option.map (fun _ -> Injector.create (golden_faults ())) recovery
+      in
+      let run =
+        Engine.run ~net:(loaded_net ()) ~events ~seed:13 ~churn:(mc_churn 5)
+          ~co_max_cost_mbit:100.0 ?injector ~domains policy
+      in
+      (match policy with
+      | Policy.Plmtf _ ->
+          Alcotest.(check bool) (name ^ ": co-scheduling fires") true
+            (Array.exists
+               (fun (r : Engine.event_result) -> r.Engine.co_scheduled)
+               run.Engine.events)
+      | _ -> ());
+      Alcotest.(check string) name digest (Run_digest.of_run run);
+      match (injector, recovery) with
+      | Some inj, Some expected ->
+          let log = Injector.recovery inj in
+          Alcotest.(check bool)
+            (name ^ ": a fault aborts a round")
+            true
+            ((Recovery.stats log).Recovery.aborts > 0);
+          Alcotest.(check string) (name ^ " recovery") expected
+            (Recovery.digest log)
+      | _ -> ())
+    golden_cases
+
+(* [step_group] contracts: a wave shares one network, fault injection
+   never spans several steppers, and flow-level policies never reach a
+   stepper at all. *)
+let test_step_group_contracts () =
+  let stepper ?injector ~net seed =
+    Engine.Stepper.create ?injector ~seed ~events:(workload ()) ~net
+      (Policy.Lmtf { alpha = 2 })
+  in
+  Alcotest.check_raises "different networks"
+    (Invalid_argument "Engine.step_group: steppers must share one network")
+    (fun () ->
+      ignore
+        (Engine.Stepper.step_group
+           [|
+             stepper ~net:(loaded_net ()) 1; stepper ~net:(loaded_net ()) 2;
+           |]));
+  let net = loaded_net () in
+  let faulted seed =
+    stepper ~injector:(Injector.create (golden_faults ())) ~net seed
+  in
+  Alcotest.check_raises "two fault-mode steppers"
+    (Invalid_argument
+       "Engine.step_group: fault injection is unsupported in group mode")
+    (fun () -> ignore (Engine.Stepper.step_group [| faulted 1; faulted 2 |]));
+  Alcotest.check_raises "flow-level policy"
+    (Invalid_argument "Engine.Stepper.create: flow-level policies are batch-only")
+    (fun () ->
+      ignore
+        (Engine.Stepper.create ~net:(loaded_net ())
+           (Policy.Flow_level Policy.Round_robin)))
+
 let test_metrics_comparison_renders () =
   let fifo = Metrics.of_run (run_policy Policy.Fifo) in
   let lmtf = Metrics.of_run (run_policy (Policy.Lmtf { alpha = 2 })) in
@@ -545,6 +658,8 @@ let suite =
     ("cache exact invalidation", `Quick, test_cache_degrade_restore_exact_invalidation);
     QCheck_alcotest.to_alcotest prop_mc_digest_equal;
     ("mc digest with faults", `Quick, test_mc_digest_with_faults);
+    ("golden decision digests", `Quick, test_golden_digests);
+    ("step_group contracts", `Quick, test_step_group_contracts);
     ("engine flow order variants", `Quick, test_engine_flow_level_orders_differ);
     ("engine round log", `Quick, test_engine_round_log);
     ("engine round log plmtf", `Quick, test_engine_round_log_plmtf_batches);
